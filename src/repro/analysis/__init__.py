@@ -8,13 +8,7 @@ from .breakdown import (
     record_breakdown_table,
 )
 from .reporting import format_bar_chart, format_grid, format_table, mebibytes, seconds
-from .sweep import (
-    ConfigPoint,
-    ScalingPoint,
-    config_sweep,
-    mpi_omp_configurations,
-    strong_scaling_sweep,
-)
+from .sweep import ConfigPoint, ScalingPoint, mpi_omp_configurations
 
 __all__ = [
     "RankBreakdown",
@@ -29,7 +23,5 @@ __all__ = [
     "seconds",
     "ConfigPoint",
     "ScalingPoint",
-    "config_sweep",
     "mpi_omp_configurations",
-    "strong_scaling_sweep",
 ]

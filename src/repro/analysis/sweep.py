@@ -1,35 +1,28 @@
-"""Parameter sweeps used by the strong-scaling and configuration figures.
+"""Row views of sweep records for the strong-scaling and configuration figures.
 
 The paper's evaluation is a family of sweeps: over process counts (Figs 8,
 9, 11), over MPI×OpenMP configurations at fixed core counts (Fig 7), over
 block-fetch split counts (Fig 6), and over 3D layer counts (implicit in
-"we explored all possible layer parameters").  These helpers are thin,
-figure-shaped views over the experiment engine
-(:mod:`repro.experiments`): each sweep point becomes a
-:class:`~repro.experiments.RunConfig`, executes through
-:func:`~repro.experiments.execute_config`, and the resulting
-:class:`~repro.experiments.RunRecord` is projected into the row shape the
-figure prints.  Grid-scale, parallel, cached execution lives in
-:func:`repro.experiments.run_grid`; these wrappers keep the classic
-matrix-in-hand API for tests and small scripts.
+"we explored all possible layer parameters").  The sweeps themselves run
+through :func:`repro.experiments.run_grid`; :class:`ScalingPoint` and
+:class:`ConfigPoint` project each resulting
+:class:`~repro.experiments.RunRecord` into the row shape its figure prints,
+and :func:`mpi_omp_configurations` enumerates the Fig 7 splits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
-from ..experiments import RunConfig, RunRecord, execute_config
-from ..runtime import CostModel, PERLMUTTER
+from ..experiments import RunRecord
 
 __all__ = [
     "ScalingPoint",
     "ConfigPoint",
-    "strong_scaling_sweep",
     "mpi_omp_configurations",
-    "config_sweep",
 ]
 
 
@@ -115,44 +108,6 @@ class ConfigPoint:
         }
 
 
-def strong_scaling_sweep(
-    A,
-    *,
-    algorithm: str,
-    strategy: str,
-    process_counts: Sequence[int],
-    cost_model: CostModel = PERLMUTTER,
-    dataset: str = "matrix",
-    block_split: int = 2048,
-    seed: int = 0,
-    verify_conservation: bool = True,
-) -> List[ScalingPoint]:
-    """Run the squaring benchmark across a list of process counts.
-
-    With ``verify_conservation`` (the default) every point's ledger is
-    checked for the byte-balance invariant — the sweeps *are* the paper's
-    communication-volume figures, so an unbalanced ledger must fail loudly
-    rather than silently skew a curve.
-    """
-    points = []
-    for nprocs in process_counts:
-        config = RunConfig(
-            dataset=dataset,
-            algorithm=algorithm,
-            strategy=strategy,
-            nprocs=int(nprocs),
-            block_split=block_split,
-            seed=seed,
-        )
-        record = execute_config(config, matrix=A, cost_model=cost_model)
-        if verify_conservation and not record.conserved:
-            raise AssertionError(
-                f"ledger not conserved for {algorithm}/{strategy} at P={nprocs}"
-            )
-        points.append(ScalingPoint.from_record(record))
-    return points
-
-
 def mpi_omp_configurations(total_cores: int) -> List[Dict[str, int]]:
     """All (processes, threads) splits of a fixed core count, perfect-square processes.
 
@@ -170,32 +125,3 @@ def mpi_omp_configurations(total_cores: int) -> List[Dict[str, int]]:
         p += 1
     return configs
 
-
-def config_sweep(
-    A,
-    *,
-    total_cores: int,
-    algorithm: str = "1d",
-    strategy: str = "none",
-    cost_model: CostModel = PERLMUTTER,
-    dataset: str = "matrix",
-    block_split: int = 2048,
-    min_processes: int = 4,
-) -> List[ConfigPoint]:
-    """Fig 7 sweep: fixed core budget, varying the MPI×OpenMP split."""
-    points = []
-    for config in mpi_omp_configurations(total_cores):
-        p, t = config["processes"], config["threads"]
-        if p < min_processes:
-            continue
-        run_config = RunConfig(
-            dataset=dataset,
-            algorithm=algorithm,
-            strategy=strategy,
-            nprocs=p,
-            block_split=block_split,
-            threads=t,
-        )
-        record = execute_config(run_config, matrix=A, cost_model=cost_model)
-        points.append(ConfigPoint.from_record(record))
-    return points

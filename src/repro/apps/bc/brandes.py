@@ -27,7 +27,6 @@ graphs, sources excluded).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -57,8 +56,6 @@ class BCIterationRecord:
     iteration: int
     #: modelled elapsed seconds of the distributed SpGEMM (0 in local mode)
     modelled_time: float
-    #: measured wall-clock seconds of the local kernel work
-    measured_time: float
     communication_volume: int
     frontier_nnz: int
     #: modelled per-category seconds of the iteration's SpGEMM
@@ -130,13 +127,12 @@ class BCResult:
         return all(r.conserved for r in self.iterations)
 
 
-def _record_from_result(result, *, phase: str, iteration: int, wall: float) -> BCIterationRecord:
+def _record_from_result(result, *, phase: str, iteration: int) -> BCIterationRecord:
     """Distil one SpGEMM result (or ledger slice) into an iteration record."""
     return BCIterationRecord(
         phase=phase,
         iteration=iteration,
         modelled_time=result.elapsed_time,
-        measured_time=wall,
         communication_volume=result.communication_volume,
         frontier_nnz=0,
         comm_time=result.comm_time,
@@ -184,7 +180,6 @@ class _FrontierMultiplier:
         self.measured = None
         self.setup_record: Optional[BCIterationRecord] = None
         if self.resident:
-            t0 = time.perf_counter()
             self.cluster = create_cluster(
                 nprocs, backend=backend, cost_model=cost_model, name="bc"
             )
@@ -202,7 +197,6 @@ class _FrontierMultiplier:
                 phase="setup",
                 iteration=0,
                 modelled_time=setup_ledger.elapsed_time(),
-                measured_time=time.perf_counter() - t0,
                 communication_volume=setup_ledger.total_bytes(),
                 frontier_nnz=0,
                 comm_time=categories["comm"],
@@ -224,14 +218,12 @@ class _FrontierMultiplier:
         iterations, W itself backward) once it is known.
         """
         A = self._pattern_t if transposed else self._pattern
-        t0 = time.perf_counter()
         if self.local:
             product = local_spgemm(A, F)
             record = BCIterationRecord(
                 phase=phase,
                 iteration=iteration,
                 modelled_time=0.0,
-                measured_time=time.perf_counter() - t0,
                 communication_volume=0,
                 frontier_nnz=0,
             )
@@ -256,9 +248,7 @@ class _FrontierMultiplier:
                 self._counter += 1
             finally:
                 cluster.shutdown()
-        record = _record_from_result(
-            result, phase=phase, iteration=iteration, wall=time.perf_counter() - t0
-        )
+        record = _record_from_result(result, phase=phase, iteration=iteration)
         return result.C, record
 
     def _note_measured(self, ledger, prefix: str = "") -> None:

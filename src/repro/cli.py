@@ -23,6 +23,7 @@ so the same harness runs on the paper's real inputs when they are available.
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 from typing import List, Optional
@@ -43,7 +44,7 @@ from .experiments import (
 )
 from .matrices import dataset_names, load_dataset, matrix_stats, read_matrix_market
 from .runtime import PERLMUTTER, available_backends
-from .sparse import CSCMatrix, KERNEL_VARIANTS, set_kernel_variant
+from .sparse import CSCMatrix, KERNEL_VARIANTS, resolve_kernel_variant, set_kernel_variant
 
 __all__ = ["main", "build_parser"]
 
@@ -68,7 +69,7 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
              f"({', '.join(KERNEL_VARIANTS)}); results and modelled "
              "counters are identical across variants — only host "
              "wall-clock changes (default: the REPRO_KERNEL env var, "
-             "else auto)",
+             "else numpy)",
     )
 
 
@@ -329,27 +330,31 @@ def _check_backend(name: Optional[str]) -> Optional[str]:
 
 
 def _activate_kernel(name: Optional[str]) -> Optional[str]:
-    """Validate and activate a ``--kernel`` value (``None`` = leave as-is).
+    """Validate and activate a ``--kernel`` value.
 
-    Returns the validation message on an unknown variant (for a clean exit 2
-    before anything runs).  An *unavailable* variant (``numba`` without the
-    package) is not an error: the selector degrades to numpy with one
-    warning, per the fallback policy in ``docs/kernels.md``.
+    Without ``--kernel`` (``name is None``) the ``REPRO_KERNEL`` selection
+    stays in place but is validated all the same.  Returns the validation
+    message on an unknown variant, for a clean exit 2 before anything runs.
     """
-    if name is None:
-        return None
-    if name not in KERNEL_VARIANTS:
+    try:
+        if name is None:
+            resolve_kernel_variant()
+        else:
+            # Writes REPRO_KERNEL, so pool workers of a sweep inherit it.
+            set_kernel_variant(name)
+    except ValueError:
+        given = f"--kernel {name!r}" if name is not None else (
+            f"REPRO_KERNEL={os.environ.get('REPRO_KERNEL', '')!r}"
+        )
         return (
-            f"unknown kernel variant {name!r}; valid variants: "
+            f"unknown kernel variant ({given}); valid variants: "
             f"{', '.join(KERNEL_VARIANTS)}"
         )
-    # Writes REPRO_KERNEL, so pool workers of a sweep inherit the choice.
-    set_kernel_variant(name)
     return None
 
 
 def _cmd_square(args) -> int:
-    problem = _check_backend(args.backend) or _activate_kernel(args.kernel)
+    problem = _check_backend(args.backend)
     if problem:
         print(problem, file=sys.stderr)
         return 2
@@ -695,9 +700,6 @@ def _cmd_sweep(args) -> int:
         backends=(args.backend,),
     )
     problems = _validate_grid(grid)
-    kernel_problem = _activate_kernel(args.kernel)
-    if kernel_problem:
-        problems.append(kernel_problem)
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
@@ -787,7 +789,7 @@ def _cmd_bench(args) -> int:
     if unknown:
         print(f"unknown workloads: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    problem = _check_backend(args.backend) or _activate_kernel(args.kernel)
+    problem = _check_backend(args.backend)
     if problem:
         print(problem, file=sys.stderr)
         return 2
@@ -919,6 +921,11 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command not in ("datasets", "algorithms"):
+        problem = _activate_kernel(getattr(args, "kernel", None))
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
     return _COMMANDS[args.command](args)
 
 

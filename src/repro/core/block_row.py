@@ -147,8 +147,7 @@ class NaiveBlockRow1D(DistributedSpGEMMAlgorithm):
             for rank in range(P):
                 local_a = dist_a.local(rank)
                 flops = int(per_column_flops(local_a, B_full).sum())
-                with cluster.measured(rank, "comp"):
-                    c_local = local_spgemm(local_a, B_full, kernel=self.kernel)
+                c_local = local_spgemm(local_a, B_full, kernel=self.kernel)
                 cluster.charge_compute(rank, flops)
                 cluster.charge_memory(
                     rank,
@@ -266,8 +265,7 @@ class ImprovedBlockRow1D(DistributedSpGEMMAlgorithm):
                     b_needed = CSCMatrix.empty(b_nrows, b_ncols)
                 cluster.charge_other_bytes(rank, b_needed.memory_bytes())
                 flops = int(per_column_flops(local_a, b_needed).sum())
-                with cluster.measured(rank, "comp"):
-                    c_local = local_spgemm(local_a, b_needed, kernel=self.kernel)
+                c_local = local_spgemm(local_a, b_needed, kernel=self.kernel)
                 cluster.charge_compute(rank, flops)
                 cluster.charge_memory(
                     rank,

@@ -169,10 +169,7 @@ class SplitSpGEMM3D(DistributedSpGEMMAlgorithm):
                             continue
                         a_bytes = a_block.memory_bytes()
                         a_col_nnz = a_block.column_nnz()
-                        with cluster.measured(grid.rank_of(i, s, l), "comp"):
-                            c_row = local_spgemm(
-                                a_block, b_row, kernel=self.kernel
-                            )
+                        c_row = local_spgemm(a_block, b_row, kernel=self.kernel)
                         # Σ over B(s, j) entries of nnz(A(:,k)) for every j
                         # at once — the same integers
                         # per_column_flops(...).sum() produces, via exact
@@ -250,8 +247,7 @@ class SplitSpGEMM3D(DistributedSpGEMMAlgorithm):
                         pieces = merged_per_position.get((i, j, l), [])
                         rank = grid.rank_of(i, j, l)
                         if pieces:
-                            with cluster.measured(rank, "comp"):
-                                merged = add_matrices(pieces)
+                            merged = add_matrices(pieces)
                             cluster.charge_compute(rank, sum(p.nnz for p in pieces))
                         else:
                             merged = CSCMatrix.empty(

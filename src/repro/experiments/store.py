@@ -33,6 +33,31 @@ def _parse_line(line: str) -> Optional[RunRecord]:
         return None
 
 
+def _clean_end(fh, size: int, block: int = 1 << 16) -> int:
+    """Offset just past the last newline-terminated line of ``fh`` that is
+    blank or parses; 0 if there is none.
+
+    Scans a window at the end of the file, doubling it from ``block`` bytes
+    until that line is inside: a store with a short torn tail costs one
+    read, a long invalid tail linear work.
+    """
+    while True:
+        start = max(0, size - block)
+        fh.seek(start)
+        lines = fh.read(size - start).split(b"\n")
+        end = size - len(lines[-1])     # the bytes after the last newline are torn
+        # Unless the window starts the file, its first line may be partial.
+        for line in reversed(lines[1 if start else 0:-1]):
+            if not line.strip() or _parse_line(
+                line.decode("utf-8", errors="replace")
+            ) is not None:
+                return end
+            end -= len(line) + 1
+        if start == 0:
+            return 0
+        block *= 2
+
+
 class ResultStore:
     """Append-only JSONL store of :class:`RunRecord` rows."""
 
@@ -70,28 +95,16 @@ class ResultStore:
         onto the torn fragment and corrupt *that* record too — so the
         crash-safe service truncates the tail on adopt.  Only the trailing
         run of invalid data is removed; interior unparseable lines (old
-        schema rows) keep their existing skip-on-load semantics.  Returns
-        the number of bytes truncated.
+        schema rows) keep their existing skip-on-load semantics.  The scan
+        runs backward from EOF and reads only that trailing run plus the
+        row before it.  Returns the number of bytes truncated.
         """
         if not self.path.is_file():
             return 0
-        raw = self.path.read_bytes()
-        pos = 0
-        clean_end = 0               # offset just past the last valid row
-        while pos < len(raw):
-            nl = raw.find(b"\n", pos)
-            if nl == -1:
-                break               # torn tail without a newline
-            line = raw[pos:nl]
-            if not line.strip():
-                clean_end = nl + 1  # blank line: harmless, keep it
-            elif _parse_line(line.decode("utf-8", errors="replace")) is not None:
-                clean_end = nl + 1
-            pos = nl + 1
-        # ``clean_end`` sits just past the last parseable row, so interior
-        # invalid lines (followed by valid ones) are kept; only the
-        # trailing run of invalid bytes is removed.
-        removed = len(raw) - clean_end
+        with self.path.open("rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            clean_end = _clean_end(fh, size)
+        removed = size - clean_end
         if removed:
             os.truncate(str(self.path), clean_end)
         return removed

@@ -45,9 +45,9 @@ the experiment engine:
     series (phases expand/inflate/prune/converge) lands in ``record.mcl``.
 
 Workload executors read only modelled counters and distributed-operand
-metadata — no executor ever assembles a global output matrix, so
-modelled-only engine runs skip global-C assembly entirely (pinned by a
-byte-identical-store regression test against ``REPRO_EAGER_ASSEMBLY``).
+metadata — apart from ``bc``, whose products are its next frontiers, no
+executor ever assembles a global output matrix, so modelled-only engine
+runs skip global-C assembly entirely (pinned in ``tests/test_pipeline.py``).
 
 Every executor receives the already-loaded input matrix and resolved cost
 model and returns a :class:`RunRecord` whose ``config_hash`` is left empty

@@ -1,4 +1,4 @@
-"""Orderings and partitioners: random permutation, METIS-like multilevel, hypergraph."""
+"""Orderings and partitioners: random permutation and METIS-like multilevel."""
 
 from .random_perm import (
     apply_symmetric_permutation,
@@ -15,11 +15,6 @@ from .graph import AdjacencyGraph
 from .coarsen import CoarseningLevel, coarsen_graph, coarsen_to_size, heavy_edge_matching
 from .refine import greedy_kway_refine, is_balanced, partition_weights
 from .metis_like import PartitionResult, partition_graph, partition_matrix
-from .hypergraph import (
-    ColumnNetHypergraph,
-    connectivity_cut,
-    greedy_hypergraph_partition,
-)
 from .ordering import (
     Ordering,
     apply_ordering,
@@ -47,9 +42,6 @@ __all__ = [
     "PartitionResult",
     "partition_graph",
     "partition_matrix",
-    "ColumnNetHypergraph",
-    "connectivity_cut",
-    "greedy_hypergraph_partition",
     "Ordering",
     "apply_ordering",
     "identity_ordering",

@@ -25,7 +25,6 @@ property-based tests reproducible.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
@@ -236,19 +235,6 @@ class SimulatedCluster:
             stats_list[r].note_memory(int(arr[r]))
             if cap and arr[r] > cap:
                 raise MemoryLimitExceeded(int(r), int(arr[r]), cap)
-
-    @contextmanager
-    def measured(self, rank: int, category: str) -> Iterator[None]:
-        """Measure real wall-clock of the enclosed block into ``rank``'s stats.
-
-        The modelled time is what the figures use; measured time is kept
-        alongside it so tests can assert the local kernels really ran.
-        """
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stats(rank).charge_measured(category, time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Windows

@@ -52,10 +52,9 @@ CATEGORIES = ("comm", "comp", "other")
 class RankStats:
     """Event counters and modelled times for one simulated rank.
 
-    Units: ``time``/``measured`` are **seconds** (modelled α–β–γ seconds
-    and measured host wall-clock respectively — never mixed), byte
-    counters are **bytes** of wire payload, ``flops`` are sparse
-    multiply-adds, ``peak_memory_bytes`` is a high-water mark in bytes.
+    Units: ``time`` is modelled α–β–γ **seconds**, byte counters are
+    **bytes** of wire payload, ``flops`` are sparse multiply-adds,
+    ``peak_memory_bytes`` is a high-water mark in bytes.
     Conservation expectation: summed over the ranks of one phase,
     ``bytes_sent == bytes_received`` — every primitive that moves bytes
     charges both sides in the same phase.
@@ -66,10 +65,6 @@ class RankStats:
     #: a dict literal is much cheaper than a comprehension and P×phases
     #: instances are created per run)
     time: Dict[str, float] = field(
-        default_factory=lambda: {"comm": 0.0, "comp": 0.0, "other": 0.0}
-    )
-    #: measured wall-clock seconds by category (real Python work that ran)
-    measured: Dict[str, float] = field(
         default_factory=lambda: {"comm": 0.0, "comp": 0.0, "other": 0.0}
     )
     #: number of point-to-point / one-sided messages this rank originated
@@ -90,13 +85,12 @@ class RankStats:
         """Zeroed instance, skipping dataclass-init overhead.
 
         Identical to ``RankStats(rank=rank)``; the ledger creates P of these
-        per phase, which makes the generated ``__init__`` (plus two factory
-        calls) measurable at P = 1024.
+        per phase, which makes the generated ``__init__`` (plus its factory
+        call) measurable at P = 1024.
         """
         st = object.__new__(cls)
         st.rank = rank
         st.time = {"comm": 0.0, "comp": 0.0, "other": 0.0}
-        st.measured = {"comm": 0.0, "comp": 0.0, "other": 0.0}
         st.messages_sent = 0
         st.rdma_gets = 0
         st.bytes_sent = 0
@@ -137,11 +131,6 @@ class RankStats:
         self.time["other"] += float(other_seconds)
         self.flops += int(flops)
 
-    def charge_measured(self, category: str, seconds: float) -> None:
-        if category not in self.measured:
-            raise KeyError(f"unknown time category {category!r}")
-        self.measured[category] += float(seconds)
-
     def note_memory(self, nbytes: int) -> None:
         self.peak_memory_bytes = max(self.peak_memory_bytes, int(nbytes))
 
@@ -165,7 +154,6 @@ class RankStats:
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary used by the reporting helpers."""
         out: Dict[str, float] = {f"time_{k}": v for k, v in self.time.items()}
-        out.update({f"measured_{k}": v for k, v in self.measured.items()})
         out.update(
             {
                 "messages_sent": float(self.messages_sent),
@@ -317,7 +305,6 @@ class PhaseLedger:
             for r, st in enumerate(stats_list):
                 for cat in CATEGORIES:
                     totals[r].time[cat] += st.time[cat]
-                    totals[r].measured[cat] += st.measured[cat]
                 totals[r].messages_sent += st.messages_sent
                 totals[r].rdma_gets += st.rdma_gets
                 totals[r].bytes_sent += st.bytes_sent
@@ -479,7 +466,6 @@ def _accumulate_rank_stats(tgt: RankStats, st: RankStats) -> None:
     """Fold ``st``'s counters into ``tgt`` (shared by merge/subset)."""
     for cat in CATEGORIES:
         tgt.time[cat] += st.time[cat]
-        tgt.measured[cat] += st.measured[cat]
     tgt.messages_sent += st.messages_sent
     tgt.rdma_gets += st.rdma_gets
     tgt.bytes_sent += st.bytes_sent

@@ -1,10 +1,9 @@
 """Compressed Sparse Column (CSC) container used as the local-matrix substrate.
 
-The paper stores local submatrices in CombBLAS's DCSC format (see
-:mod:`repro.sparse.dcsc`) but explicitly notes the algorithm "would run on
-both [CSC and DCSC] with the same complexity bounds".  This module provides a
-plain CSC container backed by numpy arrays, which is the workhorse layout for
-local SpGEMM kernels, column extraction (the RDMA fetch unit of Algorithm 1),
+The paper notes its algorithm runs on plain CSC "with the same complexity
+bounds" as CombBLAS's doubly compressed layout, so this package keeps one
+local layout: a CSC container backed by numpy arrays, used by the local
+SpGEMM kernels, column extraction (the RDMA fetch unit of Algorithm 1),
 and conversions to/from :mod:`scipy.sparse`.
 
 Design notes

@@ -32,18 +32,17 @@ Four kernels are provided, all producing identical results:
     with the dense accumulator taking over when the estimated density of the
     output column is high.
 
-Every kernel exists in up to three *variants* selected process-wide by
+Every kernel exists in two *variants* selected process-wide by
 ``REPRO_KERNEL`` (see :mod:`repro.sparse.kernels`): the literal pure-python
-loops below (``python`` — the semantic oracle), a vectorised
-sort-and-reduce (``numpy``), and a jitted Gustavson loop (``numba``,
-optional).  All three accumulate the contributions to each output entry in
-**segment order** (the order of ``k`` within ``B(:, j)``) so results are
-bit-identical; cancellation zeros are always stored (CombBLAS pattern
-semantics — which is also why scipy's matmul, which prunes them, is not
-used here).  The kernel *name* decides only the routing counters recorded
-in :class:`SpGEMMKernelStats`; those counters come from the same
-:func:`per_column_flops` pass under every variant, keeping every modelled
-counter variant-invariant.
+loops below (``python`` — the semantic oracle) and a vectorised
+sort-and-reduce (``numpy``, the default).  Both accumulate the
+contributions to each output entry in **segment order** (the order of ``k``
+within ``B(:, j)``) so results are bit-identical; cancellation zeros are
+always stored (CombBLAS pattern semantics — which is also why scipy's
+matmul, which prunes them, is not used here).  The kernel *name* decides
+only the routing counters recorded in :class:`SpGEMMKernelStats`; those
+counters come from the same :func:`per_column_flops` pass under both
+variants, keeping every modelled counter variant-invariant.
 """
 
 from __future__ import annotations
@@ -352,7 +351,7 @@ def _spgemm_python_hybrid(
 
 
 # ----------------------------------------------------------------------
-# Fast paths: vectorised sort-and-reduce (numpy) and jitted SPA (numba)
+# Fast path: vectorised sort-and-reduce (numpy)
 # ----------------------------------------------------------------------
 
 def _vectorised_spgemm(A: CSCMatrix, B: CSCMatrix) -> CSCMatrix:
@@ -400,14 +399,6 @@ def _vectorised_spgemm(A: CSCMatrix, B: CSCMatrix) -> CSCMatrix:
     return build_csc_unchecked(A.nrows, B.ncols, indptr, unique_rows, summed)
 
 
-def _spgemm_fast(A: CSCMatrix, B: CSCMatrix, variant: str) -> CSCMatrix:
-    if variant == "numba":
-        from ._numba_kernels import spgemm_numba
-
-        return spgemm_numba(A, B)
-    return _vectorised_spgemm(A, B)
-
-
 # ----------------------------------------------------------------------
 # Public kernels: name = routing counters, variant = execution strategy
 # ----------------------------------------------------------------------
@@ -441,7 +432,7 @@ def spgemm_heap(
     """Heap-based (k-way merge) local SpGEMM: exact column-by-column merge."""
     A, B = _coerce_operands(A, B)
     v = resolve_kernel_variant(variant)
-    result = _spgemm_python_heap(A, B) if v == "python" else _spgemm_fast(A, B, v)
+    result = _spgemm_python_heap(A, B) if v == "python" else _vectorised_spgemm(A, B)
     _account(stats, A, B, result, "heap")
     return result
 
@@ -452,7 +443,7 @@ def spgemm_hash(
     """Hash-based local SpGEMM: per-column open-addressing accumulation."""
     A, B = _coerce_operands(A, B)
     v = resolve_kernel_variant(variant)
-    result = _spgemm_python_hash(A, B) if v == "python" else _spgemm_fast(A, B, v)
+    result = _spgemm_python_hash(A, B) if v == "python" else _vectorised_spgemm(A, B)
     _account(stats, A, B, result, "hash")
     return result
 
@@ -463,7 +454,7 @@ def spgemm_dense_accumulator(
     """Dense-accumulator local SpGEMM (classical Gustavson SPA, column form)."""
     A, B = _coerce_operands(A, B)
     v = resolve_kernel_variant(variant)
-    result = _spgemm_python_dense(A, B) if v == "python" else _spgemm_fast(A, B, v)
+    result = _spgemm_python_dense(A, B) if v == "python" else _vectorised_spgemm(A, B)
     _account(stats, A, B, result, "dense")
     return result
 
@@ -485,7 +476,7 @@ def spgemm_hybrid(
     ``dense_density_threshold`` to the dense accumulator, and the rest to the
     hash accumulator — the same decision structure as the CombBLAS hybrid
     kernel the paper uses.  Under the ``python`` variant each column really
-    runs through its chosen literal accumulator; the fast variants perform
+    runs through its chosen literal accumulator; the ``numpy`` variant performs
     the numeric work in one algebraically identical pass (the routing then
     only feeds the stats counters, which are identical either way).  The
     first ``reference_columns`` columns can additionally be cross-checked
@@ -520,7 +511,7 @@ def spgemm_hybrid(
             A, B, col_flops, heap_flops_threshold, dense_density_threshold
         )
     else:
-        result = _spgemm_fast(A, B, v)
+        result = _vectorised_spgemm(A, B)
         if reference_columns > 0:
             # Cross-check path: run the literal kernels on a prefix of columns.
             ref = min(reference_columns, B.ncols)
@@ -556,7 +547,7 @@ def local_spgemm(
     Parameters
     ----------
     A, B:
-        CSC/DCSC/scipy/dense inputs with compatible inner dimensions.
+        CSC/scipy/dense inputs with compatible inner dimensions.
     kernel:
         One of ``"heap"``, ``"hash"``, ``"dense"``, ``"hybrid"`` (default).
     stats:

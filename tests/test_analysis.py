@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import (
+    ScalingPoint,
     breakdown_chart,
     breakdown_table,
-    config_sweep,
     format_bar_chart,
     format_grid,
     format_table,
@@ -15,9 +15,9 @@ from repro.analysis import (
     mpi_omp_configurations,
     per_rank_breakdown,
     seconds,
-    strong_scaling_sweep,
 )
 from repro.core import SparsityAware1D
+from repro.experiments import RunConfig, execute_config
 from repro.matrices.generators import banded
 from repro.runtime import SimulatedCluster
 
@@ -97,11 +97,14 @@ class TestBreakdown:
 
 
 class TestSweeps:
-    def test_strong_scaling_sweep_rows(self):
+    def test_scaling_point_rows_from_records(self):
         A = banded(200, 8, symmetric=True, seed=2)
-        points = strong_scaling_sweep(
-            A, algorithm="1d", strategy="none", process_counts=[2, 4, 8]
-        )
+        points = [
+            ScalingPoint.from_record(
+                execute_config(RunConfig(dataset="banded", nprocs=p), matrix=A)
+            )
+            for p in (2, 4, 8)
+        ]
         assert [p.nprocs for p in points] == [2, 4, 8]
         for p in points:
             row = p.as_row()
@@ -116,17 +119,3 @@ class TestSweeps:
         # Only perfect-square process counts (CombBLAS tradition).
         assert all(int(round(np.sqrt(p))) ** 2 == p for p in procs)
 
-    def test_config_sweep_points(self):
-        A = banded(150, 6, symmetric=True, seed=3)
-        points = config_sweep(A, total_cores=16, min_processes=4)
-        assert points
-        for point in points:
-            assert point.processes * point.threads == 16
-            assert point.cores == 16
-            assert point.elapsed_time >= 0
-            row = point.as_row()
-            # Numeric internals must not leak private keys into tables.
-            assert set(row) == {
-                "processes", "threads", "cores",
-                "time (s)", "comm (s)", "comp (s)", "other (s)",
-            }

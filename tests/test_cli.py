@@ -262,3 +262,48 @@ class TestCommands:
 
     def test_bench_rejects_unknown_workload(self, capsys):
         assert main(["bench", "--workloads", "quux"]) == 2
+
+
+class TestKernelSelection:
+    """A bad kernel variant exits 2 before any work or persistence."""
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        from repro.sparse import kernels
+
+        # Earlier in-process commands may have installed a --kernel choice.
+        monkeypatch.setattr(kernels, "_forced", None)
+        return tmp_path / "runs.jsonl"
+
+    def _argv(self, command, store):
+        return {
+            "square": ["square", "--scale", "0.05", "--nprocs", "4"],
+            "sweep": ["sweep", "--datasets", "hv15r", "--nprocs", "4",
+                      "--scale", "0.05", "--records", str(store)],
+            "bench": ["bench", "--scale", "0.05", "--records", str(store),
+                      "--out", str(store.with_suffix(".json"))],
+            "serve": ["serve", "--port", "0", "--records", str(store)],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["square", "sweep", "bench", "serve"])
+    def test_bad_env_variant_exits_2(self, command, store, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
+        assert main(self._argv(command, store)) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_KERNEL='numba'" in err
+        assert "valid variants: numpy, python" in err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("command", ["square", "sweep", "bench"])
+    def test_bad_flag_variant_exits_2(self, command, store, capsys):
+        assert main(self._argv(command, store) + ["--kernel", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert "--kernel 'auto'" in err
+        assert "valid variants: numpy, python" in err
+        assert not store.exists()
+
+    def test_flag_overrides_bad_env(self, store, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_KERNEL", "bogus")
+        argv = self._argv("square", store) + ["--kernel", "python"]
+        assert main(argv) == 0
+        assert "squaring" in capsys.readouterr().out

@@ -346,11 +346,19 @@ class TestSquaringRegressions:
         )
 
     def test_config_sweep_rows_have_no_private_keys(self):
-        from repro.analysis import config_sweep
+        from repro.analysis import ConfigPoint, mpi_omp_configurations
         from repro.matrices.generators import banded
 
         A = banded(150, 6, symmetric=True, seed=3)
-        points = config_sweep(A, total_cores=16, min_processes=4)
+        points = [
+            ConfigPoint.from_record(execute_config(
+                RunConfig(dataset="banded", nprocs=c["processes"],
+                          threads=c["threads"]),
+                matrix=A,
+            ))
+            for c in mpi_omp_configurations(16)
+            if c["processes"] >= 4
+        ]
         assert points
         for point in points:
             assert point.processes * point.threads == 16

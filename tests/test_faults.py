@@ -220,6 +220,53 @@ class TestStoreRecover:
     def test_missing_store_is_a_noop(self, tmp_path):
         assert ResultStore(tmp_path / "absent.jsonl").recover() == 0
 
+    @staticmethod
+    def _forward_clean_end(raw: bytes) -> int:
+        """Reference: scan every row from the start; keep through the last
+        blank or parseable newline-terminated line."""
+        from repro.experiments.store import _parse_line
+
+        pos = clean_end = 0
+        while (nl := raw.find(b"\n", pos)) != -1:
+            line = raw[pos:nl]
+            if not line.strip() or _parse_line(line.decode("utf-8", "replace")) is not None:
+                clean_end = nl + 1
+            pos = nl + 1
+        return clean_end
+
+    @pytest.mark.parametrize("layout", [
+        "clean", "torn", "flipped", "interior", "interior+torn",
+        "interior+invalid-tail", "blank-tail", "long-invalid-tail",
+        "all-invalid", "unterminated-only", "empty",
+    ])
+    def test_tail_scan_matches_forward_scan(self, tmp_path, layout):
+        """The backward tail scan truncates at the forward scan's offset."""
+        from repro.experiments.store import _clean_end
+
+        store = self._store_with_rows(tmp_path, n=3)
+        clean = store.path.read_bytes()
+        first, *rest = clean.splitlines(keepends=True)
+        raw = {
+            "clean": clean,
+            "torn": clean[:-20],
+            "flipped": clean[:-10] + b"\x00" + clean[-9:],
+            "interior": first + b"not json\n" + b"".join(rest),
+            "interior+torn": first + b"{bad\n" + b"".join(rest) + first[:50],
+            "interior+invalid-tail": b"x\n" + clean + b"{bad\n\x1c\n" + first[:9],
+            "blank-tail": clean + b"\n  \n" + b"not json\n",
+            "long-invalid-tail": clean + b"x" * 70000 + b"\n" + b"y" * 3000,
+            "all-invalid": b"not json\n{bad\n",
+            "unterminated-only": first.rstrip(b"\n"),
+            "empty": b"",
+        }[layout]
+        store.path.write_bytes(raw)
+        want = self._forward_clean_end(raw)
+        for block in (1, 7, 4096):
+            with store.path.open("rb") as fh:
+                assert _clean_end(fh, len(raw), block=block) == want, block
+        assert store.recover() == len(raw) - want
+        assert store.path.read_bytes() == raw[:want]
+
 
 # ----------------------------------------------------------------------
 # Worker fault policy: timeout -> kill -> retry, exactly-once persistence

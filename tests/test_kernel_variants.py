@@ -2,25 +2,21 @@
 
 Three properties are pinned here:
 
-1. **Selector semantics** — ``auto``/``numpy``/``numba``/``python`` resolve
-   as documented, unknown names fail fast, and an explicit ``numba`` request
-   on a machine without the package degrades to ``numpy`` with exactly one
-   warning per process instead of raising mid-sweep.
+1. **Selector semantics** — ``numpy`` (the default) and ``python`` are the
+   only variants, and unknown names fail fast.
 2. **Bit-identity of the local kernels** — for randomised CSC inputs
    (including empty rows/columns, cancellation-produced zeros, float32 and
-   float64, and masked multiplies) every fast variant reproduces the pure
-   python reference *exactly*: same indptr/indices bytes, same data bytes,
+   float64, and masked multiplies) the ``numpy`` fast path reproduces the
+   pure python reference *exactly*: same indptr/indices bytes, same data bytes,
    same dtype.  Floats are compared bitwise, not approximately — MCL
    iteration counts and the golden ledgers depend on bitwise values.
 3. **Bit-identity of the modelled counters** — all six drivers and the six
-   registry workloads produce byte-identical records/ledgers under every
-   runnable variant (the golden-ledger idiom from the backend suite: the
+   registry workloads produce byte-identical records/ledgers under both
+   variants (the golden-ledger idiom from the backend suite: the
    variant changes host wall-clock, never a modelled number).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -43,8 +39,6 @@ from repro.sparse import (
     as_csc,
     kernel_variant,
     local_spgemm,
-    numba_available,
-    requested_kernel_variant,
     resolve_kernel_variant,
     set_kernel_variant,
 )
@@ -52,10 +46,8 @@ from repro.sparse import kernels as kernels_mod
 from repro.sparse import ops
 from repro.sparse.merge import add_matrices
 
-#: variants that can actually run in this process (``auto`` always resolves)
-RUNNABLE = ("python", "numpy") + (("numba",) if numba_available() else ())
 #: the fast variants compared against the ``python`` oracle
-FAST = tuple(v for v in RUNNABLE if v != "python")
+FAST = ("numpy",)
 
 
 def _random_csc(m, n, density, seed, dtype=np.float64):
@@ -86,7 +78,7 @@ def _assert_bit_identical(got: CSCMatrix, want: CSCMatrix, context: str):
 # ----------------------------------------------------------------------
 class TestSelector:
     def test_variants_tuple(self):
-        assert KERNEL_VARIANTS == ("auto", "numpy", "numba", "python")
+        assert KERNEL_VARIANTS == ("numpy", "python")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel variant"):
@@ -94,16 +86,17 @@ class TestSelector:
         with pytest.raises(ValueError):
             resolve_kernel_variant("jit")
 
-    def test_auto_resolves_to_an_available_fast_variant(self):
-        resolved = resolve_kernel_variant("auto")
-        assert resolved == ("numba" if numba_available() else "numpy")
+    def test_retired_variants_rejected(self):
+        for name in ("auto", "numba"):
+            with pytest.raises(ValueError, match="unknown kernel variant"):
+                resolve_kernel_variant(name)
 
     def test_context_manager_restores_request(self):
-        before = requested_kernel_variant()
+        before = resolve_kernel_variant()
         with kernel_variant("python") as resolved:
             assert resolved == "python"
-            assert requested_kernel_variant() == "python"
-        assert requested_kernel_variant() == before
+            assert resolve_kernel_variant() == "python"
+        assert resolve_kernel_variant() == before
 
     def test_set_kernel_variant_exports_env(self, monkeypatch):
         # Pool workers resolve from the environment, so the setter must
@@ -118,29 +111,9 @@ class TestSelector:
         monkeypatch.setenv("REPRO_KERNEL", "python")
         assert resolve_kernel_variant() == "python"
         monkeypatch.setenv("REPRO_KERNEL", "")
-        assert resolve_kernel_variant() == resolve_kernel_variant("auto")
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed here")
-    def test_missing_numba_degrades_with_single_warning(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "_warned_missing_numba", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert resolve_kernel_variant("numba") == "numpy"
-            assert resolve_kernel_variant("numba") == "numpy"
-        ours = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(ours) == 1, "degradation must warn exactly once per process"
-        assert "falling back" in str(ours[0].message)
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed here")
-    def test_missing_numba_never_raises(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "_warned_missing_numba", True)
-        with kernel_variant("numba") as resolved:
-            assert resolved == "numpy"
-            A = _random_csc(20, 20, 0.2, seed=1)
-            C = local_spgemm(A, A)
-            np.testing.assert_array_equal(
-                C.indptr, local_spgemm(A, A, variant="numpy").indptr
-            )
+        assert resolve_kernel_variant() == "numpy"
+        monkeypatch.delenv("REPRO_KERNEL")
+        assert resolve_kernel_variant() == "numpy"
 
 
 # ----------------------------------------------------------------------

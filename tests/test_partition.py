@@ -9,16 +9,12 @@ import scipy.sparse as sp
 from repro.matrices.generators import community_graph, banded
 from repro.partition import (
     AdjacencyGraph,
-    ColumnNetHypergraph,
-    Ordering,
     apply_ordering,
     apply_symmetric_permutation,
     balance_ratio,
     coarsen_graph,
     coarsen_to_size,
-    connectivity_cut,
     degree_vertex_weights,
-    greedy_hypergraph_partition,
     greedy_kway_refine,
     heavy_edge_matching,
     identity_ordering,
@@ -230,6 +226,36 @@ class TestCoarsening:
         assert coarsen_to_size(g, 50) == []
 
 
+class TestMultilevelRoundTrip:
+    """Coarsen/uncoarsen invariants of the hierarchy ``metis_like`` walks.
+
+    A partition of any coarse level, projected to the finer level through
+    ``fine_to_coarse``, must cut exactly the same edge weight: merged
+    parallel edges carry summed weights and collapsed edges are never cut.
+    Vertex weight is conserved level to level.
+    """
+
+    @pytest.mark.parametrize("dataset", ["queen", "eukarya", "hv15r", "nlpkkt"])
+    def test_projected_cut_and_weight_preserved(self, dataset):
+        from repro.matrices import load_dataset
+
+        A = load_dataset(dataset, scale=0.2)
+        graph = AdjacencyGraph.from_matrix(A, vertex_weights=squaring_vertex_weights(A))
+        hierarchy = coarsen_to_size(graph, 120, seed=0)
+        assert len(hierarchy) >= 2
+        rng = np.random.default_rng(7)
+        to_finest = np.arange(graph.nvertices)
+        for level in hierarchy:
+            fine, coarse = level.fine_graph, level.coarse_graph
+            assert coarse.total_vertex_weight() == graph.total_vertex_weight()
+            to_finest = level.fine_to_coarse[to_finest]
+            for nparts in (2, 4, 7):
+                parts = rng.integers(0, nparts, size=coarse.nvertices)
+                cut = coarse.edge_cut(parts)
+                assert fine.edge_cut(parts[level.fine_to_coarse]) == cut
+                assert graph.edge_cut(parts[to_finest]) == cut
+
+
 # ----------------------------------------------------------------------
 # Refinement
 # ----------------------------------------------------------------------
@@ -333,38 +359,6 @@ class TestPartitioner:
         hub_part_size = int((weighted.parts == hub_part).sum())
         other_sizes = [int((weighted.parts == p).sum()) for p in range(4) if p != hub_part]
         assert hub_part_size <= min(other_sizes)
-
-
-# ----------------------------------------------------------------------
-# Hypergraph model
-# ----------------------------------------------------------------------
-class TestHypergraph:
-    def test_from_matrix_structure(self, small_square):
-        hg = ColumnNetHypergraph.from_matrix(small_square)
-        assert hg.nvertices == small_square.ncols
-        assert hg.nnets == small_square.nrows
-        assert hg.net_pins.shape[0] == small_square.nnz
-
-    def test_connectivity_cut_single_part_zero(self, small_symmetric):
-        hg = ColumnNetHypergraph.from_matrix(small_symmetric)
-        parts = np.zeros(hg.nvertices, dtype=np.int64)
-        assert connectivity_cut(hg, parts) == 0
-
-    def test_greedy_partition_balanced(self):
-        A = community_graph(200, 4, 10, mixing=0.1, shuffle=False, seed=4)
-        hg = ColumnNetHypergraph.from_matrix(A)
-        parts = greedy_hypergraph_partition(hg, 4, seed=0)
-        sizes = np.bincount(parts, minlength=4)
-        assert sizes.min() > 0
-        cut = connectivity_cut(hg, parts)
-        rng = np.random.default_rng(0)
-        random_cut = connectivity_cut(hg, rng.integers(0, 4, size=hg.nvertices))
-        assert cut <= random_cut
-
-    def test_single_part(self, small_symmetric):
-        hg = ColumnNetHypergraph.from_matrix(small_symmetric)
-        parts = greedy_hypergraph_partition(hg, 1)
-        assert (parts == 0).all()
 
 
 # ----------------------------------------------------------------------
