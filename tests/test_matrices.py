@@ -13,8 +13,10 @@ from repro.matrices import (
     load_dataset,
     matrix_stats,
     read_matrix_market,
+    read_npz,
     spy_histogram,
     write_matrix_market,
+    write_npz,
 )
 from repro.matrices.generators import (
     banded,
@@ -182,8 +184,38 @@ class TestStats:
 
 
 class TestIO:
+    @staticmethod
+    def _hypersparse():
+        """A rectangular matrix whose last row and most columns are empty."""
+        from repro.sparse import CSCMatrix
+
+        return CSCMatrix.from_coo(
+            9, 40, rows=[0, 3, 3, 7], cols=[2, 2, 17, 38], vals=[1.5, -2.0, 0.25, 4.0]
+        )
+
     def test_matrix_market_roundtrip(self, tmp_path, small_square):
         path = tmp_path / "matrix.mtx"
         write_matrix_market(path, small_square)
         back = read_matrix_market(path)
         np.testing.assert_allclose(back.to_dense(), small_square.to_dense(), atol=1e-12)
+
+    def test_matrix_market_roundtrip_hypersparse(self, tmp_path):
+        matrix = self._hypersparse()
+        path = tmp_path / "hypersparse.mtx"
+        write_matrix_market(path, matrix)
+        back = read_matrix_market(path)
+        assert back.shape == (9, 40)
+        assert back.nnz == 4
+        np.testing.assert_allclose(back.to_dense(), matrix.to_dense(), atol=1e-12)
+
+    @pytest.mark.parametrize("which", ["small_square", "hypersparse"])
+    def test_npz_roundtrip_is_exact(self, tmp_path, small_square, which):
+        matrix = small_square if which == "small_square" else self._hypersparse()
+        path = tmp_path / "matrix.npz"
+        write_npz(path, matrix)
+        back = read_npz(path)
+        assert back.shape == matrix.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(back, name), getattr(matrix, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
